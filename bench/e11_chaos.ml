@@ -1,18 +1,20 @@
 (* E11 — chaos soak: deterministic crash→recover→audit cycles.
 
-   Sweeps every fault plan from Chaos.plans () across several seeds:
-   each cycle runs a randomized workload against a shadow-map oracle,
-   kills the owning component at the planned instant (torn page writes,
-   mid-SMO splits, partial log forces, crashes during recovery, ...),
-   recovers, quiesces through the resend path, and audits the survivor
-   (structure, oracle, version hygiene, abLSN idempotence).
+   One stage per chaos scenario (Chaos.scenarios): each sweeps the
+   scenario's fault plans across several seeds; every cycle runs a
+   randomized workload against a shadow-map oracle, kills the owning
+   component at the planned instant (torn page writes, mid-SMO splits,
+   partial log forces, crashes during recovery, primary kills answered
+   by promotion, TC kills under front-end load, ...), recovers, quiesces
+   through the resend path, and audits the survivor (structure, oracle,
+   version hygiene, abLSN idempotence, plus the scenario's own checks).
 
-   The whole run is a pure function of the printed base seed. *)
+   Every stage gates on 0 auditor violations and on every fault point
+   its plans arm having fired at least once.  The whole run is a pure
+   function of the scenarios' base seeds. *)
 
 module Chaos = Untx_audit.Chaos
 module Analyzer = Untx_obs.Analyzer
-
-let base_seed = 0xC1D9
 
 (* A violating cycle carries its span dump (c_trace is only populated
    on violations during soaks): print the analyzer's reconstruction —
@@ -22,8 +24,8 @@ let print_cycle_failures cycles =
   List.iter
     (fun (c : Chaos.cycle) ->
       if c.c_violations <> [] then begin
-        Printf.printf "VIOLATION plan=%s seed=%d fired=[%s]\n" c.c_label
-          c.c_seed
+        Printf.printf "VIOLATION scenario=%s plan=%s seed=%d fired=[%s]\n"
+          c.c_scenario c.c_label c.c_seed
           (String.concat "," c.c_fired);
         List.iter (fun v -> Printf.printf "  - %s\n" v) c.c_violations;
         if c.c_trace <> "" then
@@ -33,433 +35,249 @@ let print_cycle_failures cycles =
       end)
     cycles
 
-let interesting_counters =
-  [
-    "tc.resends";
-    "tc.request_timeouts";
-    "tc.recoveries";
-    "tc.control_resends";
-    "transport.delivered";
-    "transport.control_delivered";
-    "transport.dropped";
-    "transport.duplicated";
-    "transport.frames_corrupted";
-    "transport.corrupt_dropped";
-    "transport.flush_delivered";
-    "dc.dup_absorbed";
-    "dc.control_dups_absorbed";
-    "disk.io_retries";
-    "disk.torn_writes";
-    "disk.torn_pages_detected";
-  ]
+let counter (s : Chaos.summary) name =
+  Option.value ~default:0 (List.assoc_opt name s.s_counters)
 
-let run_soak ~seeds_per_plan () =
+(* Summary rows shared by most stages. *)
+let cycles (s : Chaos.summary) = ("cycles", s.s_cycles)
+
+let with_fire (s : Chaos.summary) = ("cycles with a fire", s.s_fired)
+
+let kills (s : Chaos.summary) = ("injected hard kills", s.s_crashes)
+
+(* One stage: soak [scenario], print its fires per point (under
+   [fires], when given), its summary [rows] plus the violation count,
+   and the summed [counters]; fail unless the audit found nothing, every
+   armed point fired, and every extra gate holds. *)
+let stage ?fires ?(counters = []) ~title ~rows ~gates ~ok ~seeds_per_plan
+    scenario =
+  let all, s = Chaos.soak ~seeds_per_plan scenario in
+  Option.iter
+    (fun title ->
+      Bench_util.print_table ~title ~header:[ "fault point"; "fires" ]
+        (List.map (fun (p, n) -> [ p; string_of_int n ]) s.Chaos.s_fires_by_point))
+    fires;
+  Bench_util.print_table ~title ~header:[ "metric"; "value" ]
+    (List.map
+       (fun (m, v) -> [ m; string_of_int v ])
+       (rows all s @ [ ("auditor violations", List.length s.s_violating) ]));
+  if counters <> [] then
+    Bench_util.print_table ~title:"E11: summed Instrument counters"
+      ~header:[ "counter"; "total" ]
+      (List.filter_map
+         (fun name ->
+           List.assoc_opt name s.s_counters
+           |> Option.map (fun v -> [ name; string_of_int v ]))
+         counters);
+  print_cycle_failures all;
+  let unfired =
+    List.filter
+      (fun p -> not (List.mem_assoc p s.s_fires_by_point))
+      (Chaos.armed_points scenario)
+  in
+  let problems =
+    List.filter_map
+      (fun (holds, msg) -> if holds then None else Some msg)
+      ((s.s_violating = [], "auditor violations")
+       :: List.map (fun p -> (false, "armed point " ^ p ^ " never fired")) unfired
+      @ gates s)
+  in
+  if problems <> [] then begin
+    List.iter
+      (fun m -> Printf.printf "E11 FAILED (%s): %s\n" scenario.Chaos.name m)
+      problems;
+    exit 1
+  end;
+  print_endline (ok s)
+
+let kernel ~seeds_per_plan =
   Printf.printf "base seed: 0x%X   (rerun: every cycle is a pure function of it)\n"
-    base_seed;
-  let cycles, s = Chaos.soak ~base_seed ~seeds_per_plan () in
-  let fired_points = List.length s.Chaos.s_fires_by_point in
-  Bench_util.print_table ~title:"E11: fires per fault point"
-    ~header:[ "fault point"; "fires" ]
-    (List.map
-       (fun (p, n) -> [ p; string_of_int n ])
-       s.Chaos.s_fires_by_point);
-  Bench_util.print_table ~title:"E11: soak summary"
-    ~header:[ "metric"; "value" ]
-    [
-      [ "cycles"; string_of_int s.Chaos.s_cycles ];
-      [ "cycles with a fire"; string_of_int s.Chaos.s_fired ];
-      [ "distinct points fired"; string_of_int fired_points ];
-      [ "injected hard kills"; string_of_int s.Chaos.s_crashes ];
+    Chaos.kernel.base_seed;
+  stage Chaos.kernel ~seeds_per_plan ~fires:"E11: fires per fault point"
+    ~title:"E11: soak summary"
+    ~rows:(fun all s ->
       [
-        "stable ops re-delivered by audits";
-        string_of_int
-          (List.fold_left
-             (fun acc (c : Chaos.cycle) -> acc + c.c_redelivered)
-             0 cycles);
-      ];
-      [ "auditor violations"; string_of_int (List.length s.Chaos.s_violating) ];
-    ];
-  Bench_util.print_table ~title:"E11: summed Instrument counters"
-    ~header:[ "counter"; "total" ]
-    (List.filter_map
-       (fun name ->
-         List.assoc_opt name s.Chaos.s_counters
-         |> Option.map (fun v -> [ name; string_of_int v ]))
-       interesting_counters);
-  print_cycle_failures cycles;
-  let fired p = List.mem_assoc p s.Chaos.s_fires_by_point in
-  let problems =
-    List.filter_map
-      (fun (ok, msg) -> if ok then None else Some msg)
+        cycles s;
+        with_fire s;
+        ("distinct points fired", List.length s.s_fires_by_point);
+        kills s;
+        ( "stable ops re-delivered by audits",
+          List.fold_left
+            (fun acc (c : Chaos.cycle) -> acc + c.c_redelivered)
+            0 all );
+      ])
+    ~counters:
       [
-        (s.Chaos.s_violating = [], "auditor violations");
-        (s.Chaos.s_fired >= 200 || seeds_per_plan < 5,
-         "fewer than 200 fired cycles");
-        (fired_points >= 8, "fewer than 8 distinct points fired");
-        (fired "disk.page_write.torn", "no torn page write fired");
-        (fired "dc.smo.split.mid", "no mid-SMO crash fired");
+        "tc.resends";
+        "tc.request_timeouts";
+        "tc.recoveries";
+        "tc.control_resends";
+        "transport.delivered";
+        "transport.control_delivered";
+        "transport.dropped";
+        "transport.duplicated";
+        "transport.frames_corrupted";
+        "transport.corrupt_dropped";
+        "transport.flush_delivered";
+        "dc.dup_absorbed";
+        "dc.control_dups_absorbed";
+        "disk.io_retries";
+        "disk.torn_writes";
+        "disk.torn_pages_detected";
       ]
-  in
-  if problems <> [] then begin
-    List.iter (fun m -> Printf.printf "E11 FAILED: %s\n" m) problems;
-    exit 1
-  end;
-  Printf.printf "E11 ok: %d cycles, %d fired, %d distinct points, 0 violations\n"
-    s.Chaos.s_cycles s.Chaos.s_fired fired_points
+    ~gates:(fun s ->
+      [ (s.s_fired >= 200 || seeds_per_plan < 5, "fewer than 200 fired cycles") ])
+    ~ok:(fun s ->
+      Printf.sprintf "E11 ok: %d cycles, %d fired, %d distinct points, 0 violations"
+        s.s_cycles s.s_fired (List.length s.s_fires_by_point))
 
-(* The partitioned soak: every cycle is one TC fronting [parts]
-   hash-partitioned DCs.  Fault plans kill a single partition mid-SMO,
-   mid-checkpoint-grant, mid-flush and mid-WAL-force (plus double-kill
-   and corrupting-wire plans); the crashed partition recovers alone
-   while its siblings keep serving, and the deployment auditor checks
-   every partition plus the merged oracle. *)
-let run_soak_partitioned ~seeds_per_plan () =
-  let parts = 3 in
-  let cycles, s = Chaos.soak_partitioned ~seeds_per_plan ~parts () in
-  Bench_util.print_table
-    ~title:
-      (Printf.sprintf "E11: partitioned soak (1 TC x %d DCs), fires per point"
-         parts)
-    ~header:[ "fault point"; "fires" ]
-    (List.map
-       (fun (p, n) -> [ p; string_of_int n ])
-       s.Chaos.s_fires_by_point);
-  Bench_util.print_table ~title:"E11: partitioned soak summary"
-    ~header:[ "metric"; "value" ]
-    [
-      [ "cycles"; string_of_int s.Chaos.s_cycles ];
-      [ "cycles with a fire"; string_of_int s.Chaos.s_fired ];
-      [ "injected hard kills"; string_of_int s.Chaos.s_crashes ];
-      [ "auditor violations"; string_of_int (List.length s.Chaos.s_violating) ];
-    ];
-  print_cycle_failures cycles;
-  let fired p = List.mem_assoc p s.Chaos.s_fires_by_point in
-  let problems =
-    List.filter_map
-      (fun (ok, msg) -> if ok then None else Some msg)
-      [
-        (s.Chaos.s_violating = [], "partitioned auditor violations");
-        (s.Chaos.s_cycles >= 50, "fewer than 50 partitioned cycles");
-        (fired "dc.smo.split.mid", "no mid-SMO partition kill fired");
-        (fired "dc.checkpoint.mid", "no mid-checkpoint-grant kill fired");
-      ]
-  in
-  if problems <> [] then begin
-    List.iter (fun m -> Printf.printf "E11 FAILED: %s\n" m) problems;
-    exit 1
-  end;
-  Printf.printf
-    "E11 partitioned ok: %d cycles over %d partitions, %d kills, 0 violations\n"
-    s.Chaos.s_cycles parts s.Chaos.s_crashes
+(* The crashed partition recovers alone while its siblings keep
+   serving; the deployment auditor checks every partition plus the
+   merged oracle. *)
+let partitioned ~seeds_per_plan =
+  stage Chaos.partitioned ~seeds_per_plan
+    ~fires:"E11: partitioned soak (1 TC x 3 DCs), fires per point"
+    ~title:"E11: partitioned soak summary"
+    ~rows:(fun _ s -> [ cycles s; with_fire s; kills s ])
+    ~gates:(fun s -> [ (s.s_cycles >= 50, "fewer than 50 partitioned cycles") ])
+    ~ok:(fun s ->
+      Printf.sprintf
+        "E11 partitioned ok: %d cycles over 3 partitions, %d kills, 0 violations"
+        s.s_cycles s.s_crashes)
 
-(* The replicated soak: every cycle gives both partitions warm standbys
-   and alternates Quorum 1 / Primary_only durability by seed.  Kills at
-   the shipped-batch boundary are answered by standby promotion instead
-   of a cold restart; standby-side kills crash and rejoin the standby.
-   The auditor additionally holds every surviving standby to logical
-   parity with its primary. *)
-let run_soak_replicated ~seeds_per_plan () =
-  let parts = 2 and replicas = 2 in
-  let cycles, s = Chaos.soak_replicated ~seeds_per_plan ~parts ~replicas () in
-  Bench_util.print_table
-    ~title:
-      (Printf.sprintf
-         "E11: replicated soak (1 TC x %d DCs x %d standbys), fires per point"
-         parts replicas)
-    ~header:[ "fault point"; "fires" ]
-    (List.map
-       (fun (p, n) -> [ p; string_of_int n ])
-       s.Chaos.s_fires_by_point);
-  let promotions =
-    Option.value ~default:0 (List.assoc_opt "repl.promotions" s.Chaos.s_counters)
-  in
-  Bench_util.print_table ~title:"E11: replicated soak summary"
-    ~header:[ "metric"; "value" ]
-    [
-      [ "cycles"; string_of_int s.Chaos.s_cycles ];
-      [ "cycles with a fire"; string_of_int s.Chaos.s_fired ];
-      [ "injected hard kills"; string_of_int s.Chaos.s_crashes ];
-      [ "standby promotions"; string_of_int promotions ];
+(* Kills at the shipped-batch boundary are answered by standby
+   promotion; standby-side kills crash and rejoin the standby.  The
+   auditor holds every surviving standby to parity with its primary. *)
+let replicated ~seeds_per_plan =
+  stage Chaos.replicated ~seeds_per_plan
+    ~fires:"E11: replicated soak (1 TC x 2 DCs x 2 standbys), fires per point"
+    ~title:"E11: replicated soak summary"
+    ~rows:(fun _ s ->
       [
-        "batches shipped";
-        string_of_int
-          (Option.value ~default:0
-             (List.assoc_opt "repl.ships" s.Chaos.s_counters));
-      ];
-      [ "auditor violations"; string_of_int (List.length s.Chaos.s_violating) ];
-    ];
-  print_cycle_failures cycles;
-  let problems =
-    List.filter_map
-      (fun (ok, msg) -> if ok then None else Some msg)
-      [
-        (s.Chaos.s_violating = [], "replicated auditor violations");
-        (List.mem_assoc "repl.ship.batch" s.Chaos.s_fires_by_point,
-         "no shipped-batch kill fired");
-        (promotions >= 1, "no standby was ever promoted");
-      ]
-  in
-  if problems <> [] then begin
-    List.iter (fun m -> Printf.printf "E11 FAILED: %s\n" m) problems;
-    exit 1
-  end;
-  Printf.printf
-    "E11 replicated ok: %d cycles, %d kills, %d promotions, 0 violations\n"
-    s.Chaos.s_cycles s.Chaos.s_crashes promotions
+        cycles s;
+        with_fire s;
+        kills s;
+        ("standby promotions", counter s "repl.promotions");
+        ("batches shipped", counter s "repl.ships");
+      ])
+    ~gates:(fun s ->
+      [ (counter s "repl.promotions" >= 1, "no standby was ever promoted") ])
+    ~ok:(fun s ->
+      Printf.sprintf
+        "E11 replicated ok: %d cycles, %d kills, %d promotions, 0 violations"
+        s.s_cycles s.s_crashes (counter s "repl.promotions"))
 
-(* The detach soak: every cycle detaches dc0's sole standby a quarter
-   in, lands a granted checkpoint past its frozen cursor mid-workload
-   (burning its retention lease), and promotes it at the three-quarter
-   mark.  The promotion must catch the laggard up from the retained log
-   — or, under the forced-lease-expiry plan, refuse and cold-restart.
-   Either way the auditor must find every acked commit. *)
-let run_soak_detach ~seeds_per_plan () =
-  let parts = 2 and replicas = 1 in
-  let cycles, s = Chaos.soak_detach ~seeds_per_plan ~parts ~replicas () in
-  Bench_util.print_table
-    ~title:
-      (Printf.sprintf
-         "E11: detach/checkpoint/promote soak (1 TC x %d DCs x %d standby), \
-          fires per point"
-         parts replicas)
-    ~header:[ "fault point"; "fires" ]
-    (List.map
-       (fun (p, n) -> [ p; string_of_int n ])
-       s.Chaos.s_fires_by_point);
-  let counter name =
-    Option.value ~default:0 (List.assoc_opt name s.Chaos.s_counters)
-  in
-  let promotions = counter "repl.promotions"
-  and refusals = counter "repl.promote_refusals"
-  and catchup_ops = counter "repl.catchup_ops"
-  and expirations = counter "repl.lease_expirations" in
-  Bench_util.print_table ~title:"E11: detach soak summary"
-    ~header:[ "metric"; "value" ]
-    [
-      [ "cycles"; string_of_int s.Chaos.s_cycles ];
-      [ "injected hard kills"; string_of_int s.Chaos.s_crashes ];
-      [ "laggard promotions"; string_of_int promotions ];
-      [ "promotions refused (cold restart instead)"; string_of_int refusals ];
-      [ "catch-up ops re-shipped at promotion"; string_of_int catchup_ops ];
-      [ "retention leases expired"; string_of_int expirations ];
-      [ "auditor violations"; string_of_int (List.length s.Chaos.s_violating) ];
-    ];
-  print_cycle_failures cycles;
-  let problems =
-    List.filter_map
-      (fun (ok, msg) -> if ok then None else Some msg)
+(* The promotion must catch the laggard up from the retained log — or,
+   under the forced-lease-expiry plan, refuse and cold-restart.  Either
+   way the auditor must find every acked commit. *)
+let detach ~seeds_per_plan =
+  stage Chaos.detach ~seeds_per_plan
+    ~fires:
+      "E11: detach/checkpoint/promote soak (1 TC x 2 DCs x 1 standby), fires \
+       per point"
+    ~title:"E11: detach soak summary"
+    ~rows:(fun _ s ->
       [
-        (s.Chaos.s_violating = [], "detach-soak auditor violations");
-        (promotions >= 1, "no laggard was ever promoted");
-        (catchup_ops >= 1, "promotion never had to catch a laggard up");
-        ( List.mem_assoc "repl.lease.expire" s.Chaos.s_fires_by_point,
-          "no forced lease expiry fired" );
-        (refusals >= 1, "forced lease expiry never produced a refusal");
-        (expirations >= 1, "no retention lease ever expired");
-      ]
-  in
-  if problems <> [] then begin
-    List.iter (fun m -> Printf.printf "E11 FAILED: %s\n" m) problems;
-    exit 1
-  end;
-  Printf.printf
-    "E11 detach ok: %d cycles, %d promotions (%d catch-up ops), %d refusals, \
-     0 violations\n"
-    s.Chaos.s_cycles promotions catchup_ops refusals
+        cycles s;
+        kills s;
+        ("laggard promotions", counter s "repl.promotions");
+        ( "promotions refused (cold restart instead)",
+          counter s "repl.promote_refusals" );
+        ("catch-up ops re-shipped at promotion", counter s "repl.catchup_ops");
+        ("retention leases expired", counter s "repl.lease_expirations");
+      ])
+    ~gates:(fun s ->
+      [
+        (counter s "repl.promotions" >= 1, "no laggard was ever promoted");
+        ( counter s "repl.catchup_ops" >= 1,
+          "promotion never had to catch a laggard up" );
+        ( counter s "repl.promote_refusals" >= 1,
+          "forced lease expiry never produced a refusal" );
+        ( counter s "repl.lease_expirations" >= 1,
+          "no retention lease ever expired" );
+      ])
+    ~ok:(fun s ->
+      Printf.sprintf
+        "E11 detach ok: %d cycles, %d promotions (%d catch-up ops), %d refusals, \
+         0 violations"
+        s.s_cycles (counter s "repl.promotions") (counter s "repl.catchup_ops")
+        (counter s "repl.promote_refusals"))
 
-(* The multi-TC soak: two TCs behind the session front end, one
-   hard-killed at the midpoint with queued transactions on its
-   sessions.  The auditor runs per TC and includes the cross-TC
-   watermark check, so the victim's crash leaking into the survivor's
-   watermark slots — or a checkpoint truncating the other TC's redo
-   window — is a reported violation. *)
-let run_soak_mtc ~seeds_per_plan () =
-  let parts = 2 in
-  let cycles, s = Chaos.soak_mtc ~seeds_per_plan ~parts () in
-  let counter name =
-    Option.value ~default:0 (List.assoc_opt name s.Chaos.s_counters)
-  in
-  Bench_util.print_table
-    ~title:
-      (Printf.sprintf "E11: multi-TC front-end soak (2 TCs x %d DCs) summary"
-         parts)
-    ~header:[ "metric"; "value" ]
-    [
-      [ "cycles"; string_of_int s.Chaos.s_cycles ];
-      [ "injected TC kills"; string_of_int s.Chaos.s_crashes ];
-      [ "transactions admitted"; string_of_int (counter "front.admitted") ];
-      [ "admissions shed"; string_of_int (counter "front.shed") ];
-      [ "commits that rode a batch"; string_of_int (counter "front.batched") ];
-      [ "misattributed frames"; string_of_int (counter "dc.misattributed") ];
-      [ "auditor violations"; string_of_int (List.length s.Chaos.s_violating) ];
-    ];
-  print_cycle_failures cycles;
-  let problems =
-    List.filter_map
-      (fun (ok, msg) -> if ok then None else Some msg)
+(* The auditor runs per TC and includes the cross-TC watermark check, so
+   the victim's crash leaking into the survivor's watermark slots — or a
+   checkpoint truncating the other TC's redo window — is a violation. *)
+let mtc ~seeds_per_plan =
+  stage Chaos.mtc ~seeds_per_plan
+    ~title:"E11: multi-TC front-end soak (2 TCs x 2 DCs) summary"
+    ~rows:(fun _ s ->
       [
-        (s.Chaos.s_violating = [], "multi-TC auditor violations");
-        (s.Chaos.s_crashes >= s.Chaos.s_cycles, "a cycle never killed its TC");
-        (counter "front.admitted" > 0, "the front never admitted work");
-        (counter "front.batched" > 0, "group commit never batched");
-      ]
-  in
-  if problems <> [] then begin
-    List.iter (fun m -> Printf.printf "E11 FAILED: %s\n" m) problems;
-    exit 1
-  end;
-  Printf.printf
-    "E11 multi-TC ok: %d cycles, %d TC kills under load, 0 violations\n"
-    s.Chaos.s_cycles s.Chaos.s_crashes
+        cycles s;
+        ("injected TC kills", s.s_crashes);
+        ("transactions admitted", counter s "front.admitted");
+        ("admissions shed", counter s "front.shed");
+        ("commits that rode a batch", counter s "front.batched");
+        ("misattributed frames", counter s "dc.misattributed");
+      ])
+    ~gates:(fun s ->
+      [
+        (s.s_crashes >= s.s_cycles, "a cycle never killed its TC");
+        (counter s "front.admitted" > 0, "the front never admitted work");
+        (counter s "front.batched" > 0, "group commit never batched");
+      ])
+    ~ok:(fun s ->
+      Printf.sprintf
+        "E11 multi-TC ok: %d cycles, %d TC kills under load, 0 violations"
+        s.s_cycles s.s_crashes)
 
-(* The indexed soak: every cycle routes all mutations through the
-   Index wrappers on a table carrying two secondary indexes, under a
-   seed-picked Section 3.1 lock protocol.  Fault plans kill
-   mid-entry-table-SMO, mid-flush, mid-WAL-force and at both
-   commit-force edges; the audit holds every merged entry table to
-   exact parity with the image of the surviving primary rows. *)
-let run_soak_indexed ~seeds_per_plan () =
-  let parts = 2 in
-  let cycles, s = Chaos.soak_indexed ~seeds_per_plan ~parts () in
-  Bench_util.print_table
-    ~title:
-      (Printf.sprintf
-         "E11: indexed soak (1 TC x %d DCs, 2 secondary indexes), fires per \
-          point"
-         parts)
-    ~header:[ "fault point"; "fires" ]
-    (List.map
-       (fun (p, n) -> [ p; string_of_int n ])
-       s.Chaos.s_fires_by_point);
-  Bench_util.print_table ~title:"E11: indexed soak summary"
-    ~header:[ "metric"; "value" ]
-    [
-      [ "cycles"; string_of_int s.Chaos.s_cycles ];
-      [ "cycles with a fire"; string_of_int s.Chaos.s_fired ];
-      [ "injected hard kills"; string_of_int s.Chaos.s_crashes ];
-      [ "auditor violations"; string_of_int (List.length s.Chaos.s_violating) ];
-    ];
-  print_cycle_failures cycles;
-  let fired p = List.mem_assoc p s.Chaos.s_fires_by_point in
-  let problems =
-    List.filter_map
-      (fun (ok, msg) -> if ok then None else Some msg)
-      [
-        (s.Chaos.s_violating = [], "indexed auditor violations");
-        (fired "dc.smo.split.mid", "no mid-SMO kill fired on an entry table");
-        (s.Chaos.s_crashes >= 1, "no cycle ever killed a component");
-      ]
-  in
-  if problems <> [] then begin
-    List.iter (fun m -> Printf.printf "E11 FAILED: %s\n" m) problems;
-    exit 1
-  end;
-  Printf.printf
-    "E11 indexed ok: %d cycles, %d kills, index parity clean, 0 violations\n"
-    s.Chaos.s_cycles s.Chaos.s_crashes
+(* The audit holds every merged entry table to exact parity with the
+   image of the surviving primary rows. *)
+let indexed ~seeds_per_plan =
+  stage Chaos.indexed ~seeds_per_plan
+    ~fires:"E11: indexed soak (1 TC x 2 DCs, 2 secondary indexes), fires per point"
+    ~title:"E11: indexed soak summary"
+    ~rows:(fun _ s -> [ cycles s; with_fire s; kills s ])
+    ~gates:(fun s -> [ (s.s_crashes >= 1, "no cycle ever killed a component") ])
+    ~ok:(fun s ->
+      Printf.sprintf
+        "E11 indexed ok: %d cycles, %d kills, index parity clean, 0 violations"
+        s.s_cycles s.s_crashes)
 
-(* The branch soak: every cycle forks a copy-on-write branch at the
-   stable LSN a third into the workload, drives parent and branch over
-   the same key space, compacts + truncates the parent (the cut must
-   clamp at the live fork pin) and kills the branch DC at the two-thirds
-   mark.  The audit adds branch-parity to the full deployment audit:
-   the branch tracks its own shadow map and the shared prefix at the
-   fork point stays bit-identical. *)
-let run_soak_branch ~seeds_per_plan () =
-  let parts = 2 in
-  let cycles, s = Chaos.soak_branch ~seeds_per_plan ~parts () in
-  Bench_util.print_table
-    ~title:
-      (Printf.sprintf
-         "E11: branch soak (1 TC x %d DCs + CoW branch), fires per point"
-         parts)
-    ~header:[ "fault point"; "fires" ]
-    (List.map
-       (fun (p, n) -> [ p; string_of_int n ])
-       s.Chaos.s_fires_by_point);
-  Bench_util.print_table ~title:"E11: branch soak summary"
-    ~header:[ "metric"; "value" ]
-    [
-      [ "cycles"; string_of_int s.Chaos.s_cycles ];
-      [ "cycles with a fire"; string_of_int s.Chaos.s_fired ];
-      [ "injected hard kills"; string_of_int s.Chaos.s_crashes ];
-      [ "auditor violations"; string_of_int (List.length s.Chaos.s_violating) ];
-    ];
-  print_cycle_failures cycles;
-  let problems =
-    List.filter_map
-      (fun (ok, msg) -> if ok then None else Some msg)
-      [
-        (s.Chaos.s_violating = [], "branch auditor violations");
-        (s.Chaos.s_crashes >= 1, "no cycle ever killed a component");
-      ]
-  in
-  if problems <> [] then begin
-    List.iter (fun m -> Printf.printf "E11 FAILED: %s\n" m) problems;
-    exit 1
-  end;
-  Printf.printf
-    "E11 branch ok: %d cycles, %d kills, branch parity clean, 0 violations\n"
-    s.Chaos.s_cycles s.Chaos.s_crashes
+(* The audit adds branch parity: the branch tracks its own shadow map
+   and the shared prefix at the fork point stays bit-identical. *)
+let branch ~seeds_per_plan =
+  stage Chaos.branch ~seeds_per_plan
+    ~fires:"E11: branch soak (1 TC x 2 DCs + CoW branch), fires per point"
+    ~title:"E11: branch soak summary"
+    ~rows:(fun _ s -> [ cycles s; with_fire s; kills s ])
+    ~gates:(fun s -> [ (s.s_crashes >= 1, "no cycle ever killed a component") ])
+    ~ok:(fun s ->
+      Printf.sprintf
+        "E11 branch ok: %d cycles, %d kills, branch parity clean, 0 violations"
+        s.s_cycles s.s_crashes)
 
-(* The workload-bank soak: every bank spec runs differentially against
-   its sequential oracle (scripted DC/TC kills included) across several
-   seeds, then takes the full deployment audit — per-table oracle
-   parity plus index parity for the index-maintaining specs. *)
-let run_soak_workloads ~seeds_per_spec () =
-  let cycles, s = Chaos.soak_workloads ~seeds_per_spec () in
-  Bench_util.print_table ~title:"E11: workload-bank soak summary"
-    ~header:[ "metric"; "value" ]
-    [
-      [ "bank specs"; string_of_int (List.length (Untx_workload.Workload.bank ())) ];
-      [ "cycles"; string_of_int s.Chaos.s_cycles ];
-      [ "injected DC/TC kills"; string_of_int s.Chaos.s_crashes ];
-      [ "auditor violations"; string_of_int (List.length s.Chaos.s_violating) ];
-    ];
-  print_cycle_failures cycles;
-  let problems =
-    List.filter_map
-      (fun (ok, msg) -> if ok then None else Some msg)
-      [
-        (s.Chaos.s_violating = [], "workload-bank violations");
-        (s.Chaos.s_crashes >= s.Chaos.s_cycles,
-         "a workload cycle never killed a component");
-      ]
-  in
-  if problems <> [] then begin
-    List.iter (fun m -> Printf.printf "E11 FAILED: %s\n" m) problems;
-    exit 1
-  end;
-  Printf.printf
-    "E11 workload bank ok: %d cycles over %d specs, %d kills, 0 violations\n"
-    s.Chaos.s_cycles
-    (List.length (Untx_workload.Workload.bank ()))
-    s.Chaos.s_crashes
+let bank ~seeds_per_plan =
+  let specs = List.length Chaos.bank.plans in
+  stage Chaos.bank ~seeds_per_plan ~title:"E11: workload-bank soak summary"
+    ~rows:(fun _ s ->
+      [ ("bank specs", specs); cycles s; ("injected DC/TC kills", s.s_crashes) ])
+    ~gates:(fun s ->
+      [ (s.s_crashes >= s.s_cycles, "a workload cycle never killed a component") ])
+    ~ok:(fun s ->
+      Printf.sprintf
+        "E11 workload bank ok: %d cycles over %d specs, %d kills, 0 violations"
+        s.s_cycles specs s.s_crashes)
+
+let stages = [ kernel; partitioned; replicated; detach; mtc; indexed; branch; bank ]
 
 let run () =
-  run_soak ~seeds_per_plan:7 ();
-  run_soak_partitioned ~seeds_per_plan:7 ();
-  run_soak_replicated ~seeds_per_plan:5 ();
-  run_soak_detach ~seeds_per_plan:4 ();
-  run_soak_mtc ~seeds_per_plan:6 ();
-  run_soak_indexed ~seeds_per_plan:6 ();
-  run_soak_branch ~seeds_per_plan:4 ();
-  run_soak_workloads ~seeds_per_spec:4 ()
+  List.iter2
+    (fun stage seeds_per_plan -> stage ~seeds_per_plan)
+    stages [ 7; 7; 5; 4; 6; 6; 4; 4 ]
 
 (* Short fixed-seed soak for the @chaos dune alias (which @ci includes):
-   single-kernel plans at one seed each, plus the multi-DC soak at four
-   seeds per plan — at least 50 partitioned cycles on every CI run —
-   plus primary-kill + promotion cycles over the replicated plans,
-   detach/checkpoint/promote cycles over the lease plans,
-   TC-kill-under-load cycles over the front-end plans,
-   kill-mid-index-maintenance cycles over the indexed plans, and one
-   seed of every differential workload-bank spec. *)
+   every scenario at a few seeds per plan — the partitioned stage at
+   four, so every CI run covers at least 50 partitioned cycles. *)
 let run_short () =
-  run_soak ~seeds_per_plan:1 ();
-  run_soak_partitioned ~seeds_per_plan:4 ();
-  run_soak_replicated ~seeds_per_plan:3 ();
-  run_soak_detach ~seeds_per_plan:2 ();
-  run_soak_mtc ~seeds_per_plan:2 ();
-  run_soak_indexed ~seeds_per_plan:2 ();
-  run_soak_branch ~seeds_per_plan:1 ();
-  run_soak_workloads ~seeds_per_spec:1 ()
+  List.iter2
+    (fun stage seeds_per_plan -> stage ~seeds_per_plan)
+    stages [ 1; 4; 3; 2; 2; 2; 1; 1 ]

@@ -1,14 +1,24 @@
-(** Deterministic chaos-soak engine.
+(** Deterministic chaos-soak engine: one parameterised runner for every
+    topology the recovery contract must hold on.
 
-    One {e cycle} builds a fresh kernel from a seed, runs a randomized
-    transactional workload against a shadow-map oracle while a fault
-    plan is armed, translates every injected crash into a hard kill of
-    the owning component ([Kernel.crash_for_point]), quiesces through
-    the resend path, and hands the survivor to {!Audit.run}.
+    A {!scenario} names a {e topology} (the single-process kernel, or a
+    deployment of TCs, partitioned DCs, standbys, layers and indexes),
+    the set of fault plans it sweeps, and its {e hooks}: the maintenance
+    run before each workload iteration (a midpoint checkpoint; detach →
+    checkpoint → promote; fork-then-compact; a TC kill under load) and
+    the audit checks beyond the oracle audit.  One {e cycle}
+    ({!run_cycle}) builds a fresh system from the seed, runs a
+    randomized transactional workload against a shadow-map oracle while
+    a fault plan is armed, translates every injected fault into a hard
+    kill of the component it escaped from (a kill at the shipped-batch
+    boundary into a standby promotion), quiesces through the resend
+    path, and hands the survivor to {!Audit}.  {!soak} sweeps a
+    scenario's plans across seeds.
 
-    Everything — workload, transport policy, fault plan, crash instant —
-    is a pure function of the seed and the plan, so any violation is
-    reproducible by rerunning the cycle with the same arguments.
+    Everything — workload, configuration, transport policy, fault plan,
+    crash instant — is a pure function of the scenario, the seed and the
+    plan, so any violation is reproducible by rerunning the cycle with
+    the same arguments.
 
     A commit interrupted by a crash is ambiguous (the Commit record may
     or may not have reached the stable log).  Every transaction's first
@@ -18,6 +28,7 @@
     application would issue. *)
 
 type cycle = {
+  c_scenario : string;  (** the {!scenario}'s name *)
   c_label : string;  (** human-readable plan description *)
   c_seed : int;
   c_fired : string list;  (** fault points that fired, in firing order *)
@@ -34,196 +45,130 @@ type cycle = {
           {!Untx_obs.Analyzer.of_jsonl}. *)
 }
 
-val run_cycle :
-  ?keep_trace:bool ->
-  label:string ->
-  plan:Untx_fault.Fault.rule list ->
-  seed:int ->
-  txns:int ->
-  unit ->
-  cycle
-(** Run one workload→crash→recover→audit cycle.  The cycle always runs
-    with tracing on (the ring is cleared first, so trace ids and span
-    dumps are deterministic per cycle); [keep_trace] (default false)
-    retains the dump in [c_trace] even for a clean cycle. *)
+(** A deployment ({!Untx_cloud.Deploy}) with the kernel's small pages
+    and tiny cache on every DC. *)
+type shape = {
+  tcs : int;
+      (** with one TC the table is ["kv"]; with several, each TC updates
+          its own table through the session front end ({!Untx_front.Front}) *)
+  parts : int;  (** hash-partitioned DCs *)
+  replicas : int;  (** warm standbys per partition *)
+  durability : Untx_repl.Repl.durability option;
+      (** [None] alternates [Quorum 1] / [Primary_only] by seed *)
+  layers : bool;  (** layered log store (unversioned table) *)
+  indexes : bool;
+      (** two secondary indexes, every mutation through
+          {!Untx_index.Index}, the lock protocol picked by seed *)
+}
 
-val plans : unit -> (string * Untx_fault.Fault.rule list) list
-(** The standard plan sweep: every registered crash point at several
-    Nth-hit positions, double-failure plans that also crash during
-    recovery (["tc.recover.mid"]), and transient-I/O-error plans. *)
+type topology =
+  | Kernel  (** one TC and one DC in a process ({!Untx_kernel.Kernel}) *)
+  | Deploy of shape
+  | Bank
+      (** the workload bank ({!Untx_workload.Workload.bank}): each plan
+          label names a spec, which builds its own deployment *)
 
-val run_cycle_partitioned :
-  ?keep_trace:bool ->
-  label:string ->
-  plan:Untx_fault.Fault.rule list ->
-  seed:int ->
-  txns:int ->
-  parts:int ->
-  unit ->
-  cycle
-(** The partitioned twin of {!run_cycle}: one TC fronting [parts]
-    hash-partitioned DCs ({!Untx_cloud.Deploy}).  An injected DC fault
-    kills whichever partition it actually escaped from; that partition
-    recovers alone (its siblings keep serving) and the cycle ends in
-    {!Audit.run_deploy} — per-partition structure and version hygiene,
-    idempotent redelivery through the partition map, and the oracle
-    against the by-key merge of every partition's fragment. *)
+type hooks
 
-val plans_partitioned : unit -> (string * Untx_fault.Fault.rule list) list
-(** Per-partition crash plans: kills mid-SMO, mid-checkpoint-grant,
-    mid-flush and mid-WAL-force on whichever DC the fault escapes from,
-    TC commit-point kills that drive redo fan-out over all partitions,
-    and double-kill plans that take down two different partitions in
-    one cycle. *)
+type scenario = {
+  name : string;
+  topology : topology;
+  base_seed : int;  (** {!soak}'s first seed *)
+  plans : (string * Untx_fault.Fault.rule list) list;  (** label, plan *)
+  hooks : hooks;
+}
 
-val run_cycle_replicated :
-  ?keep_trace:bool ->
-  label:string ->
-  plan:Untx_fault.Fault.rule list ->
-  seed:int ->
-  txns:int ->
-  parts:int ->
-  replicas:int ->
-  durability:Untx_repl.Repl.durability ->
-  unit ->
-  cycle
-(** The replicated twin of {!run_cycle_partitioned}: every partition has
-    [replicas] warm standbys fed by continuous redo shipping.  A kill at
+val kernel : scenario
+(** The single kernel under the standard sweep: every registered crash
+    point at several Nth-hit positions, double-failure plans that also
+    crash during recovery (["tc.recover.mid"]), transient-I/O-error
+    plans, and a corrupting wire alone and under crashes.  A midpoint
+    checkpoint sits on a realistic RSSP advance; late in the cycle
+    deletes dominate, to drive pages toward consolidation. *)
+
+val partitioned : scenario
+(** One TC over three partitioned DCs.  An injected DC fault kills the
+    partition it escaped from, which recovers alone while its siblings
+    keep serving; the audit is {!Audit.run_deploy} (per-partition
+    structure and hygiene, routed idempotence, merged oracle).  Plans
+    kill mid-SMO, mid-checkpoint-grant, mid-flush and mid-WAL-force, at
+    both commit-force edges (redo fan-out), two partitions in one cycle,
+    and mid-SMO under a corrupting wire. *)
+
+val replicated : scenario
+(** {!partitioned} over two DCs with two warm standbys each.  A kill at
     the ["repl.ship.batch"] boundary is answered with
     {!Untx_cloud.Deploy.fail_over} — promote the most-caught-up eligible
-    standby and re-drive only the gap — instead of a cold crash+restart;
-    if the gate refuses every candidate
-    ({!Untx_cloud.Deploy.Promotion_refused}) the harness cold-restarts
-    the primary instead, trading availability for zero loss.  DC faults
-    that fire inside a standby's apply crash the standby, which rejoins
-    from its stable state (or is demoted to rebuild-required when
-    truncation already passed its rejoin cursor).  The audit
-    additionally checks every surviving {e attached} standby's logical
-    state against its primary after shipping parity. *)
+    standby and re-drive only the gap; if the gate refuses every
+    candidate the harness cold-restarts the primary.  DC faults that
+    fire inside a standby's apply crash the standby, which rejoins.
+    Plans sweep the primary kill across batch boundaries, promote twice
+    in one cycle, and pair a promotion with cold DC and TC kills. *)
 
-val plans_replicated : unit -> (string * Untx_fault.Fault.rule list) list
-(** Primary kills swept across shipped-batch boundaries (early, mid,
-    deep), a double-promotion plan, and combos pairing a promotion with
-    cold DC kills and TC commit kills. *)
+val detach : scenario
+(** The detach → checkpoint → promote interleaving over two DCs with one
+    standby each: dc0's standby detaches a quarter into the workload, a
+    granted checkpoint at the midpoint advances the redo-scan start past
+    its frozen cursor (burning its retention lease), and at the
+    three-quarter mark dc0 fails over to that laggard — which must be
+    caught up from the retained log, or refused and cold-restarted;
+    never served with a hole.  Plans: the pure interleaving, a forced
+    ["repl.lease.expire"] (the refusal path), and primary-kill, TC-kill
+    and WAL-force combos around it. *)
 
-val run_cycle_detach :
-  ?keep_trace:bool ->
-  label:string ->
-  plan:Untx_fault.Fault.rule list ->
-  seed:int ->
-  txns:int ->
-  parts:int ->
-  replicas:int ->
-  durability:Untx_repl.Repl.durability ->
-  unit ->
-  cycle
-(** The detach→checkpoint→promote interleaving on the replicated
-    deployment: dc0's first standby detaches a quarter into the
-    workload, a granted checkpoint at the midpoint advances the
-    redo-scan start point past its frozen cursor (burning one unit of
-    its retention lease), and at the three-quarter mark dc0 dies and
-    fails over to that laggard — the repro_gap shape with live traffic
-    around it.  The promotion must catch the laggard up from the
-    retained log, or refuse ({!Untx_cloud.Deploy.Promotion_refused},
-    answered with a cold restart) — never serve a hole. *)
-
-val plans_detach : unit -> (string * Untx_fault.Fault.rule list) list
-(** The pure interleaving (no faults), a forced ["repl.lease.expire"]
-    (drives the refusal path), and combos landing primary-kill and
-    TC-kill plans around the same interleaving. *)
-
-val run_cycle_mtc :
-  ?keep_trace:bool ->
-  label:string ->
-  plan:Untx_fault.Fault.rule list ->
-  seed:int ->
-  txns:int ->
-  parts:int ->
-  unit ->
-  cycle
-(** TC-kill-under-load over the session front end: two TCs share
-    [parts] partitioned DCs behind {!Untx_front.Front}; each TC's
-    sessions update their own table (the Section 6 disjoint-updaters
-    rule) with bounded queues, so submission overlapping execution
-    exercises admission control and group-commit batching.  At the
-    midpoint one TC (picked by seed) is hard-killed while queues are
+val mtc : scenario
+(** TC-kill-under-load: two TCs share two DCs behind the session front
+    end, with bounded queues and seed-sized group-commit batches.  At
+    the midpoint one TC (picked by seed) is hard-killed while queues are
     non-empty; the survivor must sail through and the victim's recovery
-    reset exactly its own lost suffix.  Because acknowledged commits may
-    have ridden unforced batches into the kill, the oracle is settled by
-    probing every committed transaction's unique marker after the final
-    drain.  The audit runs {!Audit.run_deploy} once per TC — including
-    the cross-TC watermark check, so one TC's crash leaking into the
-    other's watermark slots is a reported violation. *)
+    reset exactly its own lost suffix.  Acknowledged commits may have
+    ridden unforced batches into the kill, so the oracle is settled by
+    probing every committed marker after the final drain; the audit runs
+    once per TC, including the cross-TC watermark check.  Plans: the
+    kill alone, and under 5% frame corruption. *)
 
-val plans_mtc : unit -> (string * Untx_fault.Fault.rule list) list
-(** The scripted midpoint kill alone, and with 5% frame corruption
-    layered on top. *)
+val indexed : scenario
+(** {!partitioned} over two DCs on a table with two secondary indexes
+    (categories from the value, occasionally NUL-embedded; length
+    buckets).  A kill can land between a primary write and its entry
+    maintenance; any index op answering non-[`Ok] aborts the whole
+    transaction.  The audit adds {!Audit.check_index}. *)
 
-val run_cycle_indexed :
+val branch : scenario
+(** Fork-under-load on a layered two-DC deployment: a third into the
+    workload a copy-on-write branch forks at the stable LSN and every
+    later iteration drives one parent and one branch transaction; at
+    two thirds the parent compacts and truncates history (the cut must
+    clamp at the fork pin) and the branch DC is killed.  DC points that
+    escaped the branch crash the branch DC, TC points crash-recover the
+    branch's TC.  The audit adds {!Audit.check_branch} and two oracle
+    laws: the branch tracks its own shadow map, and the fork prefix
+    reads back as the parent's oracle stood at the fork. *)
+
+val bank : scenario
+(** Every workload-bank spec as a cycle: {!Untx_workload.Workload.run}
+    executes the spec differentially against its oracle (scripted DC/TC
+    kills included), then the surviving deployment takes
+    {!Audit.run_deploy} per table and — for index-maintaining specs —
+    {!Audit.check_index}.  The plans arm nothing and the cycle's [txns]
+    is unused (each spec fixes its own length). *)
+
+val scenarios : scenario list
+(** All of the above, in that order. *)
+
+val run_cycle :
   ?keep_trace:bool ->
+  scenario ->
   label:string ->
   plan:Untx_fault.Fault.rule list ->
   seed:int ->
   txns:int ->
-  parts:int ->
-  unit ->
   cycle
-(** The partitioned cycle with every mutation routed through
-    {!Untx_index.Index} on a table carrying two secondary indexes
-    (categories extracted from the value, occasionally NUL-embedded;
-    length buckets), under one of the two Section 3.1 lock protocols
-    (seed-picked — never Optimistic, which cannot re-read its own
-    buffered writes).  A kill can land between a primary write and its
-    entry maintenance; transactional rollback and redo must keep them
-    atomic anyway.  Any index op answering non-[`Ok] aborts the whole
-    transaction (the Fail-means-caller-aborts contract).  The audit is
-    {!Audit.run_deploy} plus {!Audit.check_index}: merged entry tables
-    must exactly match the image of the surviving primary rows. *)
-
-val plans_indexed : unit -> (string * Untx_fault.Fault.rule list) list
-(** Kills mid-entry-table-SMO (tiny pages and long escaped entry keys
-    make index splits frequent), mid-flush, mid-WAL-force, and at both
-    commit-force edges; a double landing an SMO kill and a commit kill
-    in one cycle; 5% frame corruption under the SMO kill. *)
-
-val run_cycle_branch :
-  ?keep_trace:bool ->
-  label:string ->
-  plan:Untx_fault.Fault.rule list ->
-  seed:int ->
-  txns:int ->
-  parts:int ->
-  unit ->
-  cycle
-(** The fork-under-load cycle on a layered deployment: a third into the
-    workload the deployment forks a copy-on-write branch at its stable
-    LSN, every later iteration drives one parent and one branch
-    transaction over the same key space (materialization racing live
-    parent traffic), and at the two-thirds mark the parent compacts,
-    truncates history at its stable LSN — the cut must clamp at the
-    live branch's fork pin — and the branch DC is killed and recovered.
-    Faults route by attribution: DC-side points that escaped the branch
-    crash the branch DC, TC-side points that escaped a branch operation
-    crash-recover the branch's own TC.  The audit is the parent's full
-    {!Audit.run_deploy} plus {!Audit.check_branch} plus the two branch
-    oracle laws (the branch tracks its own shadow map; the shared
-    prefix at the fork point still reads back as the parent's oracle
-    stood when the fork was cut). *)
-
-val plans_branch : unit -> (string * Untx_fault.Fault.rule list) list
-(** A fault-free control, DC-flush / WAL-force / commit-edge kills
-    (landing on either side by attribution), a kill inside the parent's
-    compaction while the branch pins its history, 5% frame corruption,
-    and a flush+commit double. *)
-
-val run_cycle_workload :
-  spec:Untx_workload.Workload.spec -> seed:int -> unit -> cycle
-(** One workload-bank spec as a chaos cycle: {!Untx_workload.Workload.run}
-    executes the spec differentially against its oracle (scripted
-    DC/TC kills included), then the surviving deployment takes the full
-    {!Audit.run_deploy} per table against the oracle's rows and — for
-    index-maintaining specs — {!Audit.check_index}.  [c_violations]
-    merges the run's differential violations with the audit's. *)
+(** Run one workload→crash→recover→audit cycle of the scenario.  The
+    cycle always runs with tracing on (the ring is cleared first, so
+    trace ids and span dumps are deterministic per cycle); [keep_trace]
+    (default false) retains the dump in [c_trace] even for a clean
+    cycle. *)
 
 type summary = {
   s_cycles : int;
@@ -234,72 +179,9 @@ type summary = {
   s_counters : (string * int) list;  (** summed across cycles *)
 }
 
-val soak :
-  ?base_seed:int -> ?seeds_per_plan:int -> ?txns:int -> unit ->
-  cycle list * summary
-(** Sweep every plan from {!plans} across [seeds_per_plan] seeds
-    (default 7, [base_seed] 0xC1D9, [txns] 24 per cycle). *)
+val soak : seeds_per_plan:int -> scenario -> cycle list * summary
+(** Run every plan of the scenario at [seeds_per_plan] seeds (plan [p],
+    seed [s]: [base_seed + 131p + 17s]), 24 transactions per cycle. *)
 
-val soak_partitioned :
-  ?base_seed:int -> ?seeds_per_plan:int -> ?txns:int -> ?parts:int ->
-  unit ->
-  cycle list * summary
-(** Sweep every plan from {!plans_partitioned} across [seeds_per_plan]
-    seeds (default 4, [parts] 3, [txns] 24 per cycle) over a
-    1-TC × [parts]-DC deployment. *)
-
-val soak_replicated :
-  ?base_seed:int ->
-  ?seeds_per_plan:int ->
-  ?txns:int ->
-  ?parts:int ->
-  ?replicas:int ->
-  unit ->
-  cycle list * summary
-(** Sweep every plan from {!plans_replicated} across [seeds_per_plan]
-    seeds (default 3, [parts] 2, [replicas] 2, [txns] 24 per cycle),
-    alternating [Quorum 1] and [Primary_only] durability by seed. *)
-
-val soak_detach :
-  ?base_seed:int ->
-  ?seeds_per_plan:int ->
-  ?txns:int ->
-  ?parts:int ->
-  ?replicas:int ->
-  unit ->
-  cycle list * summary
-(** Sweep every plan from {!plans_detach} across [seeds_per_plan] seeds
-    (default 3, [parts] 2, [replicas] 1 — a sole standby, so the lease
-    decides promotability — [txns] 24 per cycle), alternating
-    durability by seed as {!soak_replicated} does. *)
-
-val soak_mtc :
-  ?base_seed:int -> ?seeds_per_plan:int -> ?txns:int -> ?parts:int ->
-  unit ->
-  cycle list * summary
-(** Sweep every plan from {!plans_mtc} across [seeds_per_plan] seeds
-    (default 4, [parts] 2, [txns] 24 per cycle): the TC-kill-under-load
-    front-end cycles, alternating the killed TC and the group-commit
-    batch size by seed. *)
-
-val soak_indexed :
-  ?base_seed:int -> ?seeds_per_plan:int -> ?txns:int -> ?parts:int ->
-  unit ->
-  cycle list * summary
-(** Sweep every plan from {!plans_indexed} across [seeds_per_plan]
-    seeds (default 3, [parts] 2, [txns] 24 per cycle), alternating the
-    lock protocol, versioned-ness, transport and sync policy by seed. *)
-
-val soak_branch :
-  ?base_seed:int -> ?seeds_per_plan:int -> ?txns:int -> ?parts:int ->
-  unit ->
-  cycle list * summary
-(** Sweep every plan from {!plans_branch} across [seeds_per_plan] seeds
-    (default 3, [parts] 2, [txns] 24 per cycle), alternating transport
-    and sync policy by seed as the other layered soaks do. *)
-
-val soak_workloads :
-  ?base_seed:int -> ?seeds_per_spec:int -> unit -> cycle list * summary
-(** Run every workload-bank spec ({!Untx_workload.Workload.bank}) as a
-    {!run_cycle_workload} across [seeds_per_spec] seeds (default 2,
-    [base_seed] 0xB0B — the bank's canonical seed). *)
+val armed_points : scenario -> string list
+(** The distinct fault points the scenario's plans arm, sorted. *)

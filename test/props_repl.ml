@@ -202,10 +202,16 @@ let prop_failover_never_loses_acked =
 (* --- replicated chaos acceptance -------------------------------------- *)
 
 let run_clean ~label ~plan ~seed ~durability =
-  let c =
-    Chaos.run_cycle_replicated ~label ~plan ~seed ~txns:18 ~parts:2
-      ~replicas:2 ~durability ()
+  let scenario =
+    match Chaos.replicated.topology with
+    | Chaos.Deploy sh ->
+      {
+        Chaos.replicated with
+        topology = Deploy { sh with durability = Some durability };
+      }
+    | _ -> assert false
   in
+  let c = Chaos.run_cycle scenario ~label ~plan ~seed ~txns:18 in
   Alcotest.(check (list string)) (label ^ " audit clean") []
     c.Chaos.c_violations;
   c

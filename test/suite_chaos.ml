@@ -9,7 +9,7 @@ module Chaos = Untx_audit.Chaos
 module Analyzer = Untx_obs.Analyzer
 
 let cycle ?keep_trace ~label ~plan ~seed () =
-  Chaos.run_cycle ?keep_trace ~label ~plan ~seed ~txns:12 ()
+  Chaos.run_cycle ?keep_trace Chaos.kernel ~label ~plan ~seed ~txns:12
 
 let check_clean (c : Chaos.cycle) =
   Alcotest.(check (list string))
@@ -44,20 +44,36 @@ let test_small_soak () =
         [ 3; 10 ])
     plans
 
-let test_reproducible () =
-  let run () =
-    cycle ~label:"repro" ~seed:9
-      ~plan:[ Fault.crash_at "dc.flush.after_page_write" 2 ]
-      ()
-  in
+let check_reproducible (s : Chaos.scenario) ~label ~plan =
+  (* Run twice at one seed: both runs must come back clean and
+     identical, since a cycle is a pure function of (scenario, plan,
+     seed). *)
+  let run () = Chaos.run_cycle s ~label ~plan ~seed:9 ~txns:12 in
   let a = run () and b = run () in
+  let what x = Printf.sprintf "%s: same %s" s.name x in
   check_clean a;
-  Alcotest.(check (list string)) "same fired points" a.c_fired b.c_fired;
-  Alcotest.(check int) "same crash count" a.c_crashes b.c_crashes;
-  Alcotest.(check int) "same committed count" a.c_committed b.c_committed;
-  Alcotest.(check int) "same redelivery count" a.c_redelivered b.c_redelivered;
-  Alcotest.(check (list (pair string int))) "same counter snapshot"
+  Alcotest.(check (list string)) (what "fired points") a.c_fired b.c_fired;
+  Alcotest.(check int) (what "crash count") a.c_crashes b.c_crashes;
+  Alcotest.(check int) (what "committed count") a.c_committed b.c_committed;
+  Alcotest.(check int) (what "redelivery count") a.c_redelivered
+    b.c_redelivered;
+  Alcotest.(check (list (pair string int))) (what "counter snapshot")
     a.c_counters b.c_counters
+
+let test_reproducible () =
+  (* Every scenario is reproducible.  Single-TC scenarios take a DC kill
+     mid-flush; the front-end and bank scenarios run their own first
+     plan. *)
+  List.iter
+    (fun (s : Chaos.scenario) ->
+      let label, plan =
+        match s.topology with
+        | Kernel | Deploy { tcs = 1; _ } ->
+          ("repro", [ Fault.crash_at "dc.flush.after_page_write" 2 ])
+        | Deploy _ | Bank -> List.hd s.plans
+      in
+      check_reproducible s ~label ~plan)
+    Chaos.scenarios
 
 let test_lossy_resend_completes () =
   (* Seeds divisible by 3 run under the lossy policy (10% drop); the
@@ -159,7 +175,7 @@ let test_partitioned_cycles () =
       List.iter
         (fun seed ->
           let c =
-            Chaos.run_cycle_partitioned ~label ~plan ~seed ~txns:12 ~parts:3 ()
+            Chaos.run_cycle Chaos.partitioned ~label ~plan ~seed ~txns:12
           in
           check_clean c;
           Alcotest.(check bool)
@@ -178,9 +194,7 @@ let test_redo_window_watermark_race () =
      loss before the low-water cap was installed ahead of the barrier. *)
   List.iter
     (fun (label, plan, seed) ->
-      let c =
-        Chaos.run_cycle_partitioned ~label ~plan ~seed ~txns:24 ~parts:3 ()
-      in
+      let c = Chaos.run_cycle Chaos.partitioned ~label ~plan ~seed ~txns:24 in
       check_clean c;
       Alcotest.(check bool)
         (Printf.sprintf "%s seed=%d: the planned rule fired" label seed)
@@ -193,28 +207,13 @@ let test_redo_window_watermark_race () =
     ]
 
 let test_partitioned_reproducible () =
-  let run () =
-    Chaos.run_cycle_partitioned ~label:"repro-part" ~seed:9 ~txns:12 ~parts:3
-      ~plan:[ Fault.crash_at "dc.flush.after_page_write" 2 ]
-      ()
-  in
-  let a = run () and b = run () in
-  check_clean a;
-  Alcotest.(check (list string)) "same fired points" a.c_fired b.c_fired;
-  Alcotest.(check int) "same crash count" a.c_crashes b.c_crashes;
-  Alcotest.(check int) "same committed count" a.c_committed b.c_committed;
-  Alcotest.(check (list (pair string int))) "same counter snapshot"
-    a.c_counters b.c_counters
+  check_reproducible Chaos.partitioned ~label:"repro-part"
+    ~plan:[ Fault.crash_at "dc.flush.after_page_write" 2 ]
 
 let test_plan_sweep_covers_required_points () =
-  (* The standard sweep must reach the ISSUE's coverage floor: at least
-     8 distinct points including a torn write and a mid-SMO crash. *)
-  let points =
-    List.sort_uniq compare
-      (List.concat_map
-         (fun (_, plan) -> List.map (fun r -> r.Fault.point) plan)
-         (Chaos.plans ()))
-  in
+  (* The standard sweep arms at least 8 distinct points, including a
+     torn write, a mid-SMO crash and a crash during recovery. *)
+  let points = Chaos.armed_points Chaos.kernel in
   Alcotest.(check bool) "at least 8 distinct points" true
     (List.length points >= 8);
   List.iter

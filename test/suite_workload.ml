@@ -85,7 +85,7 @@ let test_determinism () =
 
 let test_chaos_wrapper () =
   let c =
-    Chaos.run_cycle_workload ~spec:(Workload.find "mixed_tables") ~seed:5 ()
+    Chaos.run_cycle Chaos.bank ~label:"mixed_tables" ~plan:[] ~seed:5 ~txns:24
   in
   Alcotest.check strings "cycle clean" [] c.Chaos.c_violations;
   Alcotest.(check bool) "crashes" true (c.Chaos.c_crashes >= 1)
