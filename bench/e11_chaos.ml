@@ -1,16 +1,18 @@
 (* E11 — chaos soak: deterministic crash→recover→audit cycles.
 
-   One stage per chaos scenario (Chaos.scenarios): each sweeps the
-   scenario's fault plans across several seeds; every cycle runs a
-   randomized workload against a shadow-map oracle, kills the owning
+   One stage per chaos scenario (Chaos.scenarios; the nine bank
+   scenarios share one): each sweeps the scenario's fault plans across
+   several seeds; every cycle runs a generated workload differentially
+   against a shadow-map oracle, kills the owning
    component at the planned instant (torn page writes, mid-SMO splits,
    partial log forces, crashes during recovery, primary kills answered
    by promotion, TC kills under front-end load, ...), recovers, quiesces
    through the resend path, and audits the survivor (structure, oracle,
    version hygiene, abLSN idempotence, plus the scenario's own checks).
 
-   Every stage gates on 0 auditor violations and on every fault point
-   its plans arm having fired at least once.  The whole run is a pure
+   Every stage gates on 0 auditor violations, on every fault point its
+   plans arm having fired at least once, and on every differential
+   check kind its mixes enable having run.  The whole run is a pure
    function of the scenarios' base seeds. *)
 
 module Chaos = Untx_audit.Chaos
@@ -45,13 +47,16 @@ let with_fire (s : Chaos.summary) = ("cycles with a fire", s.s_fired)
 
 let kills (s : Chaos.summary) = ("injected hard kills", s.s_crashes)
 
-(* One stage: soak [scenario], print its fires per point (under
-   [fires], when given), its summary [rows] plus the violation count,
-   and the summed [counters]; fail unless the audit found nothing, every
-   armed point fired, and every extra gate holds. *)
+(* One stage: soak each of [scenarios], print the fires per point
+   (under [fires], when given), the summary [rows] plus the violation
+   count, and the summed [counters]; fail unless the audit found
+   nothing, every point each scenario's plans arm fired, every check
+   kind each scenario's mix enables ran, and every extra gate holds. *)
 let stage ?fires ?(counters = []) ~title ~rows ~gates ~ok ~seeds_per_plan
-    scenario =
-  let all, s = Chaos.soak ~seeds_per_plan scenario in
+    scenarios =
+  let runs = List.map (fun sc -> (sc, Chaos.soak ~seeds_per_plan sc)) scenarios in
+  let all = List.concat_map (fun (_, (cycles, _)) -> cycles) runs in
+  let s = Chaos.summarize all in
   Option.iter
     (fun title ->
       Bench_util.print_table ~title ~header:[ "fault point"; "fires" ]
@@ -70,22 +75,28 @@ let stage ?fires ?(counters = []) ~title ~rows ~gates ~ok ~seeds_per_plan
            |> Option.map (fun v -> [ name; string_of_int v ]))
          counters);
   print_cycle_failures all;
-  let unfired =
-    List.filter
-      (fun p -> not (List.mem_assoc p s.s_fires_by_point))
-      (Chaos.armed_points scenario)
+  let missing (sc, (_, (own : Chaos.summary))) =
+    List.filter_map
+      (fun p ->
+        if List.mem_assoc p own.s_fires_by_point then None
+        else Some (Printf.sprintf "%s: armed point %s never fired" sc.Chaos.name p))
+      (Chaos.armed_points sc)
+    @ List.filter_map
+        (fun k ->
+          if List.mem_assoc k own.s_checks then None
+          else Some (Printf.sprintf "%s: no %s check ever ran" sc.Chaos.name k))
+        (Chaos.check_kinds sc)
   in
   let problems =
     List.filter_map
       (fun (holds, msg) -> if holds then None else Some msg)
       ((s.s_violating = [], "auditor violations")
-       :: List.map (fun p -> (false, "armed point " ^ p ^ " never fired")) unfired
+       :: List.map (fun m -> (false, m)) (List.concat_map missing runs)
       @ gates s)
   in
   if problems <> [] then begin
-    List.iter
-      (fun m -> Printf.printf "E11 FAILED (%s): %s\n" scenario.Chaos.name m)
-      problems;
+    let names = String.concat "," (List.map (fun sc -> sc.Chaos.name) scenarios) in
+    List.iter (fun m -> Printf.printf "E11 FAILED (%s): %s\n" names m) problems;
     exit 1
   end;
   print_endline (ok s)
@@ -93,7 +104,7 @@ let stage ?fires ?(counters = []) ~title ~rows ~gates ~ok ~seeds_per_plan
 let kernel ~seeds_per_plan =
   Printf.printf "base seed: 0x%X   (rerun: every cycle is a pure function of it)\n"
     Chaos.kernel.base_seed;
-  stage Chaos.kernel ~seeds_per_plan ~fires:"E11: fires per fault point"
+  stage [ Chaos.kernel ] ~seeds_per_plan ~fires:"E11: fires per fault point"
     ~title:"E11: soak summary"
     ~rows:(fun all s ->
       [
@@ -135,7 +146,7 @@ let kernel ~seeds_per_plan =
    serving; the deployment auditor checks every partition plus the
    merged oracle. *)
 let partitioned ~seeds_per_plan =
-  stage Chaos.partitioned ~seeds_per_plan
+  stage [ Chaos.partitioned ] ~seeds_per_plan
     ~fires:"E11: partitioned soak (1 TC x 3 DCs), fires per point"
     ~title:"E11: partitioned soak summary"
     ~rows:(fun _ s -> [ cycles s; with_fire s; kills s ])
@@ -149,7 +160,7 @@ let partitioned ~seeds_per_plan =
    promotion; standby-side kills crash and rejoin the standby.  The
    auditor holds every surviving standby to parity with its primary. *)
 let replicated ~seeds_per_plan =
-  stage Chaos.replicated ~seeds_per_plan
+  stage [ Chaos.replicated ] ~seeds_per_plan
     ~fires:"E11: replicated soak (1 TC x 2 DCs x 2 standbys), fires per point"
     ~title:"E11: replicated soak summary"
     ~rows:(fun _ s ->
@@ -171,7 +182,7 @@ let replicated ~seeds_per_plan =
    under the forced-lease-expiry plan, refuse and cold-restart.  Either
    way the auditor must find every acked commit. *)
 let detach ~seeds_per_plan =
-  stage Chaos.detach ~seeds_per_plan
+  stage [ Chaos.detach ] ~seeds_per_plan
     ~fires:
       "E11: detach/checkpoint/promote soak (1 TC x 2 DCs x 1 standby), fires \
        per point"
@@ -207,7 +218,7 @@ let detach ~seeds_per_plan =
    the victim's crash leaking into the survivor's watermark slots — or a
    checkpoint truncating the other TC's redo window — is a violation. *)
 let mtc ~seeds_per_plan =
-  stage Chaos.mtc ~seeds_per_plan
+  stage [ Chaos.mtc ] ~seeds_per_plan
     ~title:"E11: multi-TC front-end soak (2 TCs x 2 DCs) summary"
     ~rows:(fun _ s ->
       [
@@ -232,7 +243,7 @@ let mtc ~seeds_per_plan =
 (* The audit holds every merged entry table to exact parity with the
    image of the surviving primary rows. *)
 let indexed ~seeds_per_plan =
-  stage Chaos.indexed ~seeds_per_plan
+  stage [ Chaos.indexed ] ~seeds_per_plan
     ~fires:"E11: indexed soak (1 TC x 2 DCs, 2 secondary indexes), fires per point"
     ~title:"E11: indexed soak summary"
     ~rows:(fun _ s -> [ cycles s; with_fire s; kills s ])
@@ -245,7 +256,7 @@ let indexed ~seeds_per_plan =
 (* The audit adds branch parity: the branch tracks its own shadow map
    and the shared prefix at the fork point stays bit-identical. *)
 let branch ~seeds_per_plan =
-  stage Chaos.branch ~seeds_per_plan
+  stage [ Chaos.branch ] ~seeds_per_plan
     ~fires:"E11: branch soak (1 TC x 2 DCs + CoW branch), fires per point"
     ~title:"E11: branch soak summary"
     ~rows:(fun _ s -> [ cycles s; with_fire s; kills s ])
@@ -255,11 +266,20 @@ let branch ~seeds_per_plan =
         "E11 branch ok: %d cycles, %d kills, branch parity clean, 0 violations"
         s.s_cycles s.s_crashes)
 
+(* Every bank scenario runs its mix differentially under scripted kills
+   and an empty plan: a refused operation, a read, scan or lookup that
+   disagrees with the oracle, or a poison probe that fails in the wrong
+   place is a violation; the stage also demands every check kind each
+   mix enables. *)
 let bank ~seeds_per_plan =
-  let specs = List.length Chaos.bank.plans in
+  let specs = List.length Chaos.bank in
+  let checks (s : Chaos.summary) k =
+    ("differential " ^ k ^ " checks", Option.value ~default:0 (List.assoc_opt k s.s_checks))
+  in
   stage Chaos.bank ~seeds_per_plan ~title:"E11: workload-bank soak summary"
     ~rows:(fun _ s ->
-      [ ("bank specs", specs); cycles s; ("injected DC/TC kills", s.s_crashes) ])
+      [ ("bank specs", specs); cycles s; ("injected DC/TC kills", s.s_crashes) ]
+      @ List.map (checks s) [ "branch txn"; "lookup"; "poison"; "rmw read"; "scan" ])
     ~gates:(fun s ->
       [ (s.s_crashes >= s.s_cycles, "a workload cycle never killed a component") ])
     ~ok:(fun s ->

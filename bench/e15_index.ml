@@ -9,8 +9,8 @@
    - the same write mix over the same partitioned deployment with 0, 1
      and 2 secondary indexes, reporting txns/s, per-transaction cost
      and messages per committed transaction;
-   - a Zipfian skew sweep of the differential [indexed_zipf] workload
-     (hot keys concentrate entry churn on few secondary keys, which
+   - a Zipfian skew sweep of the differential [indexed_zipf] chaos
+     scenario (hot keys concentrate entry churn on few secondary keys, which
      under secondary-hash placement concentrates it on one partition).
 
    Acceptance gate: with one secondary index the per-transaction write
@@ -21,7 +21,7 @@
 open Bench_util
 module Deploy = Untx_cloud.Deploy
 module Index = Untx_index.Index
-module Workload = Untx_workload.Workload
+module Chaos = Untx_audit.Chaos
 module Audit = Untx_audit.Audit
 module Instrument = Untx_util.Instrument
 
@@ -174,42 +174,39 @@ let run_cost_comparison () =
   (overhead1, List.concat_map (fun (_, _, _, _, p) -> p) results, parity1)
 
 let run_skew_sweep () =
-  let base_spec = Workload.find "indexed_zipf" in
+  let base =
+    List.find (fun (s : Chaos.scenario) -> s.name = "indexed_zipf") Chaos.bank
+  in
   let sweep = [ 0.0; 0.5; 0.9; 0.99 ] in
   let rows, violations =
     List.fold_left
       (fun (rows, violations) theta ->
-        let spec =
-          {
-            base_spec with
-            Workload.w_name =
-              Printf.sprintf "indexed_zipf@%.1f" theta;
-            w_theta = theta;
-            w_txns = 150;
-          }
+        let s = { base with mix = { base.mix with theta } } in
+        let c, t =
+          time (fun () ->
+              Chaos.run_cycle s
+                ~label:(Printf.sprintf "theta=%.2f" theta)
+                ~plan:[] ~seed:0xE15 ~txns:150)
         in
-        let (r, _env), t = time (fun () -> Workload.run ~seed:0xE15 spec) in
         let row =
           [
             fmt_f2 theta;
-            string_of_int r.Workload.r_committed;
-            string_of_int r.Workload.r_aborted;
-            string_of_int r.Workload.r_crashes;
-            string_of_int r.Workload.r_checks;
-            fmt_f (float_of_int r.Workload.r_committed /. t);
-            string_of_int (List.length r.Workload.r_violations);
+            string_of_int c.c_committed;
+            string_of_int c.c_crashes;
+            string_of_int (List.fold_left (fun a (_, n) -> a + n) 0 c.c_checks);
+            fmt_f (float_of_int c.c_committed /. t);
+            string_of_int (List.length c.c_violations);
           ]
         in
-        (rows @ [ row ], violations @ r.Workload.r_violations))
+        (rows @ [ row ], violations @ c.c_violations))
       ([], []) sweep
   in
   print_table
     ~title:
-      "E15  Zipfian skew sweep: differential indexed_zipf workload (150 \
+      "E15  Zipfian skew sweep: differential indexed_zipf chaos cycle (150 \
        txns, 2 indexes, scripted kills)"
     ~header:
-      [ "theta"; "committed"; "aborted"; "crashes"; "diff checks"; "txns/s";
-        "violations" ]
+      [ "theta"; "committed"; "crashes"; "diff checks"; "txns/s"; "violations" ]
     rows;
   List.iter (fun v -> Printf.printf "E15 sweep violation: %s\n" v) violations;
   violations

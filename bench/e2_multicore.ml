@@ -64,7 +64,7 @@ let spec =
 let run_parts parts =
   let counters = Instrument.create () in
   let d = make_deploy ~counters ~parts in
-  let e = Engine.of_tc (Deploy.tc d "tc1") in
+  let e = (Engine.of_tc (Deploy.tc d "tc1") :> (module Engine.S)) in
   Driver.preload e spec;
   let msgs0 = Deploy.messages_total d in
   let res, elapsed = time (fun () -> Driver.run e spec) in
@@ -173,7 +173,7 @@ let run () =
      partitions (not just row counts) is directly visible. *)
   let ci = Instrument.create () in
   let di = make_deploy ~counters:ci ~parts:4 in
-  let ei = Engine.of_tc (Deploy.tc di "tc1") in
+  let ei = (Engine.of_tc (Deploy.tc di "tc1") :> (module Engine.S)) in
   Driver.preload ei spec;
   Metrics.set_timed ci true;
   ignore (Driver.run ei spec);

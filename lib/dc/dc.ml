@@ -919,13 +919,17 @@ let reset_page_for_tc t pid st ~tc ~stable_lsn =
   end;
   ignore stable_lsn
 
+(* Drop, in place, [tc]'s memoized replies whose LSN satisfies [gone]. *)
+let prune_memo t ~tc gone =
+  let tc = Tc_id.to_int tc in
+  Hashtbl.filter_map_inplace
+    (fun (mtc, mlsn) reply ->
+      if mtc = tc && gone (Lsn.of_int mlsn) then None else Some reply)
+    t.memo
+
 let reset_for_tc t ~tc ~stable_lsn =
   (* Drop memoized results for operations that no longer exist. *)
-  Hashtbl.iter
-    (fun (mtc, mlsn) _ ->
-      if mtc = Tc_id.to_int tc && Lsn.(of_int mlsn > stable_lsn) then
-        Hashtbl.remove t.memo (mtc, mlsn))
-    (Hashtbl.copy t.memo);
+  prune_memo t ~tc (fun l -> Lsn.(l > stable_lsn));
   let affected =
     Page_id.Tbl.fold
       (fun pid st acc ->
@@ -1222,11 +1226,7 @@ let control t (ctl : Wire.control) =
     if granted then begin
       (* Contract terminated below the new RSSP: memoized results for
          those operations can never be legitimately resent. *)
-      Hashtbl.iter
-        (fun (mtc, mlsn) _ ->
-          if mtc = Tc_id.to_int tc && Lsn.(of_int mlsn < new_rssp) then
-            Hashtbl.remove t.memo (mtc, mlsn))
-        (Hashtbl.copy t.memo);
+      prune_memo t ~tc (fun l -> Lsn.(l < new_rssp));
       ignore (self_checkpoint t)
     end;
     Wire.Checkpoint_done { granted }

@@ -98,48 +98,9 @@ let run k ~table ~expected =
 
 module Deploy = Untx_cloud.Deploy
 
-(* The partitioned oracle check reads each DC's fragment directly and
-   merges by key: a TC-side scan would need cross-partition scan
-   support, and more importantly it would not notice a record that the
-   map says belongs to DC1 but ended up (only) on DC2. *)
-let check_oracle_deploy d ~table ~expected errs =
-  let merged =
-    List.concat_map
-      (fun dc_name ->
-        let dc = Deploy.dc d dc_name in
-        List.filter_map
-          (fun (key, r) ->
-            (* records owned elsewhere must not exist here at all *)
-            if not (String.equal (Deploy.partition_dc d ~table ~key) dc_name)
-            then begin
-              errs :=
-                Printf.sprintf "placement: %s/%s found on %s, owned by %s"
-                  table key dc_name
-                  (Deploy.partition_dc d ~table ~key)
-                :: !errs;
-              None
-            end
-            else Stored_record.current r |> Option.map (fun v -> (key, v)))
-          (Dc.dump_table dc table))
-      (Deploy.partitions d ~table)
-    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-  in
-  if merged <> expected then
-    errs :=
-      Printf.sprintf
-        "oracle: merged partitions of %s (%d rows) disagree with oracle (%d \
-         rows)"
-        table (List.length merged) (List.length expected)
-      :: !errs
-
-(* Index parity: the entry tables must be exactly the image of the live
-   primary rows under the registered extractors — computed fresh from
-   the merged primary fragments, so the check is independent of any
-   oracle the caller may also hold.  Extra entries are dangling (their
-   primary died) or stale (the row no longer yields that secondary
-   key); missing ones mean maintenance was lost in recovery. *)
-module Index = Untx_index.Index
-
+(* A table's fragments merged by key: each DC's current rows, with any
+   record found on a DC the partition map does not own it to reported
+   and left out. *)
 let merged_current d ~table errs =
   List.concat_map
     (fun dc_name ->
@@ -159,6 +120,28 @@ let merged_current d ~table errs =
         (Dc.dump_table dc table))
     (Deploy.partitions d ~table)
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+
+(* The partitioned oracle check reads each DC's fragment directly and
+   merges by key: a TC-side scan would need cross-partition scan
+   support, and more importantly it would not notice a record that the
+   map says belongs to DC1 but ended up (only) on DC2. *)
+let check_oracle_deploy d ~table ~expected errs =
+  let merged = merged_current d ~table errs in
+  if merged <> expected then
+    errs :=
+      Printf.sprintf
+        "oracle: merged partitions of %s (%d rows) disagree with oracle (%d \
+         rows)"
+        table (List.length merged) (List.length expected)
+      :: !errs
+
+(* Index parity: the entry tables must be exactly the image of the live
+   primary rows under the registered extractors — computed fresh from
+   the merged primary fragments, so the check is independent of any
+   oracle the caller may also hold.  Extra entries are dangling (their
+   primary died) or stale (the row no longer yields that secondary
+   key); missing ones mean maintenance was lost in recovery. *)
+module Index = Untx_index.Index
 
 let check_index d ~idx ~table =
   let errs = ref [] in

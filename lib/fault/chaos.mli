@@ -3,17 +3,27 @@
 
     A {!scenario} names a {e topology} (the single-process kernel, or a
     deployment of TCs, partitioned DCs, standbys, layers and indexes),
-    the set of fault plans it sweeps, and its {e hooks}: the maintenance
-    run before each workload iteration (a midpoint checkpoint; detach →
-    checkpoint → promote; fork-then-compact; a TC kill under load) and
-    the audit checks beyond the oracle audit.  One {e cycle}
-    ({!run_cycle}) builds a fresh system from the seed, runs a
-    randomized transactional workload against a shadow-map oracle while
-    a fault plan is armed, translates every injected fault into a hard
+    the transaction {e mix} its one generator draws from, the set of
+    fault plans it sweeps, and its {e hooks}: the maintenance run before
+    each workload iteration (a midpoint checkpoint; detach → checkpoint
+    → promote; fork-then-compact; a TC kill under load; scripted kills
+    between transactions) and the audit checks beyond the oracle audit.
+    One {e cycle} ({!run_cycle}) builds a fresh system from the seed,
+    runs the generated workload against a shadow-map oracle while a
+    fault plan is armed, translates every injected fault into a hard
     kill of the component it escaped from (a kill at the shipped-batch
     boundary into a standby promotion), quiesces through the resend
     path, and hands the survivor to {!Audit}.  {!soak} sweeps a
     scenario's plans across seeds.
+
+    The generator is differential as it goes: a read-modify-write's
+    read must return the oracle's value, a {e poison probe} (a duplicate
+    insert or an update of an absent key) must fail exactly where the
+    TC contract says — at the call on a fail-fast table, at commit on a
+    pipelined one — and between transactions range scans and index
+    lookups are compared with the oracle's rows.  With an empty plan
+    every kill is scripted between transactions, so any refused
+    operation is a violation too.
 
     Everything — workload, configuration, transport policy, fault plan,
     crash instant — is a pure function of the scenario, the seed and the
@@ -35,6 +45,8 @@ type cycle = {
   c_crashes : int;  (** injected hard kills (incl. during recovery) *)
   c_committed : int;  (** transactions the oracle counts as committed *)
   c_redelivered : int;  (** stable ops re-delivered by the audit *)
+  c_checks : (string * int) list;
+      (** differential checks run, by kind ({!check_kinds}), sorted *)
   c_violations : string list;
   c_counters : (string * int) list;  (** Instrument snapshot *)
   c_trace : string;
@@ -49,24 +61,45 @@ type cycle = {
     and tiny cache on every DC. *)
 type shape = {
   tcs : int;
-      (** with one TC the table is ["kv"]; with several, each TC updates
-          its own table through the session front end ({!Untx_front.Front}) *)
+      (** with several, TC [i] updates the mix's table [i] through the
+          session front end ({!Untx_front.Front}) *)
   parts : int;  (** hash-partitioned DCs *)
   replicas : int;  (** warm standbys per partition *)
   durability : Untx_repl.Repl.durability option;
       (** [None] alternates [Quorum 1] / [Primary_only] by seed *)
-  layers : bool;  (** layered log store (unversioned table) *)
+  layers : bool;  (** layered log store, which copy-on-write branches need *)
   indexes : bool;
-      (** two secondary indexes, every mutation through
-          {!Untx_index.Index}, the lock protocol picked by seed *)
+      (** two secondary indexes (["by_cat"]: the value's prefix up to
+          ':', ["by_len"]: 16-byte length buckets), every mutation
+          through {!Untx_index.Index}; values carry a category prefix,
+          occasionally NUL-embedded *)
 }
 
 type topology =
   | Kernel  (** one TC and one DC in a process ({!Untx_kernel.Kernel}) *)
   | Deploy of shape
-  | Bank
-      (** the workload bank ({!Untx_workload.Workload.bank}): each plan
-          label names a spec, which builds its own deployment *)
+
+(** What the generator draws: a transaction writes a marker, then 1 to
+    [ops] oracle-guided writes on one table (the tables take turns),
+    then a poison probe, a deliberate abort or a commit.  A probability
+    of 0 draws nothing from the seed's stream. *)
+type mix = {
+  tables : (string * bool option) list;
+      (** (table, versioned); [None] by seed (never on a layered store) *)
+  protocol : Untx_tc.Tc.cc_protocol option;
+      (** [None]: key locks; both Section 3.1 protocols by seed if indexed *)
+  keys : int;  (** key-space size *)
+  theta : float;  (** Zipfian skew of key picks; [0.] = uniform *)
+  ops : int;  (** most writes per transaction *)
+  value_len : (int * int) option;
+      (** random payloads of that length range, pages sized to hold
+          them; [None]: ["v%06d"] on 160-byte pages *)
+  rmw : float;  (** chance an update is a read-modify-write *)
+  poison : float;  (** chance a transaction ends in a poison probe *)
+  abort : float;  (** chance a transaction aborts deliberately *)
+  scan : float;  (** chance of a range scan after a transaction *)
+  lookup : float;  (** chance of an index lookup after a transaction *)
+}
 
 type hooks
 
@@ -74,6 +107,8 @@ type scenario = {
   name : string;
   topology : topology;
   base_seed : int;  (** {!soak}'s first seed *)
+  txns : int;  (** {!soak}'s transactions per cycle *)
+  mix : mix;
   plans : (string * Untx_fault.Fault.rule list) list;  (** label, plan *)
   hooks : hooks;
 }
@@ -84,7 +119,8 @@ val kernel : scenario
     crash during recovery (["tc.recover.mid"]), transient-I/O-error
     plans, and a corrupting wire alone and under crashes.  A midpoint
     checkpoint sits on a realistic RSSP advance; late in the cycle
-    deletes dominate, to drive pages toward consolidation. *)
+    deletes dominate, to drive pages toward consolidation.  The mix is
+    1-4 writes over 50 keys, nothing else. *)
 
 val partitioned : scenario
 (** One TC over three partitioned DCs.  An injected DC fault kills the
@@ -128,11 +164,10 @@ val mtc : scenario
     kill alone, and under 5% frame corruption. *)
 
 val indexed : scenario
-(** {!partitioned} over two DCs on a table with two secondary indexes
-    (categories from the value, occasionally NUL-embedded; length
-    buckets).  A kill can land between a primary write and its entry
-    maintenance; any index op answering non-[`Ok] aborts the whole
-    transaction.  The audit adds {!Audit.check_index}. *)
+(** {!partitioned} over two DCs on a table with two secondary indexes.
+    A kill can land between a primary write and its entry maintenance;
+    any index op answering non-[`Ok] aborts the whole transaction.  The
+    audit adds {!Audit.check_index}. *)
 
 val branch : scenario
 (** Fork-under-load on a layered two-DC deployment: a third into the
@@ -142,19 +177,26 @@ val branch : scenario
     clamp at the fork pin) and the branch DC is killed.  DC points that
     escaped the branch crash the branch DC, TC points crash-recover the
     branch's TC.  The audit adds {!Audit.check_branch} and two oracle
-    laws: the branch tracks its own shadow map, and the fork prefix
-    reads back as the parent's oracle stood at the fork. *)
+    laws: the branch's durable state is exactly its own shadow map, and
+    the fork prefix reads back as the parent's oracle stood at the
+    fork. *)
 
-val bank : scenario
-(** Every workload-bank spec as a cycle: {!Untx_workload.Workload.run}
-    executes the spec differentially against its oracle (scripted DC/TC
-    kills included), then the surviving deployment takes
-    {!Audit.run_deploy} per table and — for index-maintaining specs —
-    {!Audit.check_index}.  The plans arm nothing and the cycle's [txns]
-    is unused (each spec fixes its own length). *)
+val bank : scenario list
+(** The differential bank: nine adversarial mixes ([zipfian_rmw],
+    [range_scan_keylocks], [range_scan_rangelocks], [occ_uniform],
+    [large_values], [mixed_tables], [indexed_zipf],
+    [indexed_unversioned], [branched_pitr] — the last forks at 0.4 of
+    the run and takes {!branch}'s parity audit), each under one empty
+    plan with 1-2 kills of a DC, the TC or the branch DC scripted evenly
+    between transactions. *)
 
 val scenarios : scenario list
 (** All of the above, in that order. *)
+
+val check_kinds : scenario -> string list
+(** The differential check kinds the scenario's mix enables, sorted:
+    ["branch txn"] (on a layered deployment), ["lookup"], ["poison"],
+    ["rmw read"], ["scan"]. *)
 
 val run_cycle :
   ?keep_trace:bool ->
@@ -176,12 +218,16 @@ type summary = {
   s_crashes : int;
   s_violating : cycle list;
   s_fires_by_point : (string * int) list;
+  s_checks : (string * int) list;  (** summed across cycles, by kind *)
   s_counters : (string * int) list;  (** summed across cycles *)
 }
 
+val summarize : cycle list -> summary
+
 val soak : seeds_per_plan:int -> scenario -> cycle list * summary
 (** Run every plan of the scenario at [seeds_per_plan] seeds (plan [p],
-    seed [s]: [base_seed + 131p + 17s]), 24 transactions per cycle. *)
+    seed [s]: [base_seed + 131p + 17s]), [txns] transactions per
+    cycle. *)
 
 val armed_points : scenario -> string list
 (** The distinct fault points the scenario's plans arm, sorted. *)

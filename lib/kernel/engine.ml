@@ -37,7 +37,7 @@ end
 
 (* A bare TC as an engine: how a deployment (one TC fronting N
    partitioned DCs) runs the standard workloads. *)
-let of_tc (tc : Untx_tc.Tc.t) : (module S) =
+let of_tc (tc : Untx_tc.Tc.t) : (module S with type txn = Untx_tc.Tc.txn) =
   (module struct
     module Tc = Untx_tc.Tc
 
@@ -68,32 +68,11 @@ let of_tc (tc : Untx_tc.Tc.t) : (module S) =
     let resolve_deadlock () = Tc.resolve_deadlock tc
   end)
 
+(* The kernel's TC, except that its commit drives the kernel's
+   auto-checkpoints. *)
 let of_kernel (k : Kernel.t) : (module S) =
   (module struct
-    type txn = Untx_tc.Tc.txn
-
-    let begin_txn () = Kernel.begin_txn k
-
-    let xid = Untx_tc.Tc.xid
-
-    let is_active = Untx_tc.Tc.is_active
-
-    let read txn ~table ~key = Kernel.read k txn ~table ~key
-
-    let insert txn ~table ~key ~value = Kernel.insert k txn ~table ~key ~value
-
-    let update txn ~table ~key ~value = Kernel.update k txn ~table ~key ~value
-
-    let delete txn ~table ~key = Kernel.delete k txn ~table ~key
-
-    let scan txn ~table ~from_key ~limit =
-      Kernel.scan k txn ~table ~from_key ~limit
+    include (val of_tc (Kernel.tc k))
 
     let commit txn = Kernel.commit k txn
-
-    let abort txn ~reason = Kernel.abort k txn ~reason
-
-    let wakeups () = Untx_tc.Tc.wakeups (Kernel.tc k)
-
-    let resolve_deadlock () = Untx_tc.Tc.resolve_deadlock (Kernel.tc k)
   end)

@@ -3,5 +3,4 @@ let () =
     [
       ("index", Suite_index.suite);
       ("index-props", Props_index.suite);
-      ("workload", Suite_workload.suite);
     ]

@@ -2,7 +2,9 @@
    crash→recover→audit cycles that must come back violation-free and
    bit-identical on rerun, plus the lost-reply workload that proves the
    resend path (not Transport.flush) is what completes transactions
-   under loss.  The full sweep lives in bench/e11_chaos.ml. *)
+   under loss.  [bank_suite] holds the differential bank to the same
+   bar: every bank scenario, under its scripted kills, runs its checks
+   and comes back clean.  The full sweep lives in bench/e11_chaos.ml. *)
 
 module Fault = Untx_fault.Fault
 module Chaos = Untx_audit.Chaos
@@ -44,11 +46,12 @@ let test_small_soak () =
         [ 3; 10 ])
     plans
 
-let check_reproducible (s : Chaos.scenario) ~label ~plan =
+let check_reproducible ?(seed = 9) ?(txns = 12) (s : Chaos.scenario) ~label
+    ~plan =
   (* Run twice at one seed: both runs must come back clean and
      identical, since a cycle is a pure function of (scenario, plan,
      seed). *)
-  let run () = Chaos.run_cycle s ~label ~plan ~seed:9 ~txns:12 in
+  let run () = Chaos.run_cycle s ~label ~plan ~seed ~txns in
   let a = run () and b = run () in
   let what x = Printf.sprintf "%s: same %s" s.name x in
   check_clean a;
@@ -57,20 +60,22 @@ let check_reproducible (s : Chaos.scenario) ~label ~plan =
   Alcotest.(check int) (what "committed count") a.c_committed b.c_committed;
   Alcotest.(check int) (what "redelivery count") a.c_redelivered
     b.c_redelivered;
+  Alcotest.(check (list (pair string int))) (what "differential checks")
+    a.c_checks b.c_checks;
   Alcotest.(check (list (pair string int))) (what "counter snapshot")
     a.c_counters b.c_counters
 
 let test_reproducible () =
-  (* Every scenario is reproducible.  Single-TC scenarios take a DC kill
-     mid-flush; the front-end and bank scenarios run their own first
-     plan. *)
+  (* Every scenario is reproducible.  Single-TC scenarios (the bank's
+     included) take a DC kill mid-flush; the front-end scenario runs its
+     own first plan. *)
   List.iter
     (fun (s : Chaos.scenario) ->
       let label, plan =
         match s.topology with
         | Kernel | Deploy { tcs = 1; _ } ->
           ("repro", [ Fault.crash_at "dc.flush.after_page_write" 2 ])
-        | Deploy _ | Bank -> List.hd s.plans
+        | Deploy _ -> List.hd s.plans
       in
       check_reproducible s ~label ~plan)
     Chaos.scenarios
@@ -245,3 +250,68 @@ let suite =
     Alcotest.test_case "redo-window watermark race stays fixed" `Quick
       test_redo_window_watermark_race;
   ]
+
+(* --- the differential bank ---------------------------------------------- *)
+
+(* One bank scenario at its own seed, plan and length: no violation (a
+   refused op, a read/scan/lookup disagreeing with the oracle, a poison
+   probe failing in the wrong place, or a failed audit), at least one
+   scripted kill — the plan is empty, so every kill is scheduled — and
+   committed work plus differential checks of every kind the mix
+   enables. *)
+let test_bank_scenario (s : Chaos.scenario) () =
+  let label, plan = List.hd s.plans in
+  let c = Chaos.run_cycle s ~label ~plan ~seed:s.base_seed ~txns:s.txns in
+  check_clean c;
+  Alcotest.(check bool) (s.name ^ " schedules a kill") true (c.c_crashes >= 1);
+  Alcotest.(check bool) (s.name ^ ": committed transactions") true
+    (c.c_committed > 0);
+  Alcotest.(check bool) (s.name ^ ": differential checks ran") true
+    (c.c_checks <> []);
+  List.iter
+    (fun k ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %s checks ran" s.name k)
+        true
+        (List.mem_assoc k c.c_checks))
+    (Chaos.check_kinds s)
+
+let test_bank_shape () =
+  let bank = Chaos.bank in
+  Alcotest.(check bool) "at least five distinct workloads" true
+    (List.length bank >= 5);
+  let names = List.map (fun (s : Chaos.scenario) -> s.name) bank in
+  Alcotest.(check int) "names unique" (List.length names)
+    (List.length (List.sort_uniq compare names));
+  List.iter
+    (fun (s : Chaos.scenario) ->
+      Alcotest.(check bool)
+        (s.name ^ ": every plan is empty (kills are scripted)")
+        true
+        (List.for_all (fun (_, plan) -> plan = []) s.plans))
+    bank;
+  let has p = List.exists (fun (s : Chaos.scenario) -> p s.mix.protocol) bank in
+  Alcotest.(check bool) "both Section 3.1 lock protocols and OCC appear" true
+    (has (( = ) (Some Untx_tc.Tc.Key_locks))
+    && has (function Some (Untx_tc.Tc.Range_locks _) -> true | _ -> false)
+    && has (( = ) (Some Untx_tc.Tc.Optimistic)));
+  Alcotest.(check bool) "index-maintaining mixes appear" true
+    (List.exists
+       (fun (s : Chaos.scenario) ->
+         match s.topology with Deploy sh -> sh.indexes | Kernel -> false)
+       bank)
+
+let test_bank_determinism () =
+  let s = List.find (fun (s : Chaos.scenario) -> s.name = "indexed_zipf") Chaos.bank in
+  let label, plan = List.hd s.plans in
+  check_reproducible s ~label ~plan ~seed:99 ~txns:s.txns
+
+let bank_suite =
+  List.map
+    (fun (s : Chaos.scenario) ->
+      Alcotest.test_case ("bank: " ^ s.name) `Quick (test_bank_scenario s))
+    Chaos.bank
+  @ [
+      Alcotest.test_case "bank shape" `Quick test_bank_shape;
+      Alcotest.test_case "seeded determinism" `Quick test_bank_determinism;
+    ]

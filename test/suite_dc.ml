@@ -354,6 +354,47 @@ let test_memo_truncated_at_checkpoint () =
   Alcotest.(check (option string)) "not reapplied" (Some "v")
     (value_of dc (read "k"))
 
+let test_memo_pruning_is_per_tc () =
+  (* Two TCs' memoized replies share the DC's memo.  tc1's granted
+     checkpoint may drop only tc1's entries below its RSSP, and tc2's
+     restart only tc2's entries above its stable LSN. *)
+  let tc2 = Tc_id.of_int 2 in
+  let dc = mk () in
+  let ctl m = ignore (Dc.control dc m) in
+  let resend r = Dc.perform dc r in
+  ignore (Dc.perform dc (insert 1 "a" "a0"));
+  ignore (Dc.perform dc (update 2 "a" "a1"));
+  ignore (Dc.perform dc (insert ~tc:tc2 1 "b" "b0"));
+  ignore (Dc.perform dc (update ~tc:tc2 2 "b" "b1"));
+  eosl dc 2;
+  lwm dc 2;
+  ctl (Wire.End_of_stable_log { tc = tc2; eosl = lsn 2 });
+  (match Dc.control dc (Wire.Checkpoint { tc = tc1; new_rssp = lsn 3 }) with
+  | Wire.Checkpoint_done { granted } -> Alcotest.(check bool) "granted" true granted
+  | Wire.Ack -> Alcotest.fail "wrong reply");
+  let r = resend (update 2 "a" "a1") in
+  Alcotest.(check bool) "tc1 resend below the RSSP: acked" true
+    (r.Wire.result = Wire.Done);
+  Alcotest.(check (option string)) "tc1 resend below the RSSP: bare ack" None
+    r.Wire.prior;
+  Alcotest.(check (option string)) "tc2's memoized prior survives tc1's checkpoint"
+    (Some "b0") (resend (update ~tc:tc2 2 "b" "b1")).Wire.prior;
+  ignore (Dc.perform dc (update 5 "a" "a2"));
+  ignore (Dc.perform dc (update ~tc:tc2 3 "b" "b2"));
+  (* tc2 fails with only LSN 2 stable: its LSN-3 update is reset *)
+  ctl (Wire.Restart_begin { tc = tc2; stable_lsn = lsn 2 });
+  ctl (Wire.Restart_end { tc = tc2 });
+  Alcotest.(check (option string)) "tc1's entry above tc2's stable LSN survives"
+    (Some "a1") (resend (update 5 "a" "a2")).Wire.prior;
+  Alcotest.(check (option string)) "tc2's stable entry survives" (Some "b0")
+    (resend (update ~tc:tc2 2 "b" "b1")).Wire.prior;
+  Alcotest.(check (option string)) "tc2's reset update is gone" (Some "b1")
+    (value_of dc (read "b"));
+  Alcotest.(check (option string)) "its redo applies afresh" (Some "b1")
+    (resend (update ~tc:tc2 3 "b" "b2")).Wire.prior;
+  Alcotest.(check (option string)) "redo applied" (Some "b2")
+    (value_of dc (read "b"))
+
 let test_bounded_zero_equals_stall () =
   let dc = mk ~sync_policy:(Dc.Bounded 0) () in
   ignore (Dc.perform dc (insert 5 "k" "v"));
@@ -393,4 +434,6 @@ let suite =
         test_bounded_zero_equals_stall;
       Alcotest.test_case "suggested RSSP monotone" `Quick
         test_suggested_rssp_monotone_under_flush;
+      Alcotest.test_case "memo pruning is per TC" `Quick
+        test_memo_pruning_is_per_tc;
     ]

@@ -16,7 +16,7 @@ module Fault = Untx_fault.Fault
 let ok = Helpers.ok
 let expect_fail = Helpers.expect_fail
 
-(* The same extract shapes the workload bank uses: category = value
+(* The same category shape the chaos engine uses: category = value
    prefix up to ':'. *)
 let extract_cat ~key:_ ~value =
   match String.index_opt value ':' with

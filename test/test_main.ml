@@ -22,6 +22,7 @@ let () =
       ("recovery", Suite_recovery.suite);
       ("fault", Suite_fault.suite);
       ("chaos", Suite_chaos.suite);
+      ("workload", Suite_chaos.bank_suite);
       ("cloud-recovery", Suite_cloud_recovery.suite);
       ("properties", Props.suite);
     ]
